@@ -97,10 +97,11 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Machine-readable pipeline benchmarks: the figure reproductions, the
-# end-to-end privatize job, and the CSV-vs-.pcol load/query pairs, as JSON
+# end-to-end privatize job, the CSV-vs-.pcol load/query pairs, and the
+# cold/warm resident estimator layer (report-only, not gated), as JSON
 # (raw benchstat-compatible lines included).
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkFigure|BenchmarkPrivatizeJob|BenchmarkLoadCSV|BenchmarkLoadColstore|BenchmarkQueryCSV$$|BenchmarkQueryColstore' -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure|BenchmarkPrivatizeJob|BenchmarkLoadCSV|BenchmarkLoadColstore|BenchmarkQueryCSV$$|BenchmarkQueryColstore|BenchmarkLayer' -benchmem . \
 		| $(GO) run ./tools/benchjson > BENCH_pipeline.json
 
 # Quick regression check against the committed baseline: a short-mode run of

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"privateclean/internal/cleaning"
@@ -577,13 +578,23 @@ func BenchmarkPrivatizeJob(b *testing.B) {
 	b.ReportMetric(float64(5000*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
+// benchWorkerCounts is one worker and GOMAXPROCS workers, deduplicated: at
+// GOMAXPROCS=1 the two coincide, and running the configuration twice would
+// make Go report the second run as a "#01" duplicate.
+func benchWorkerCounts() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkPrivatizeParallel measures the in-memory sharded privatizer at
 // one worker and at GOMAXPROCS; the two emit byte-identical views, so the
 // delta is pure parallel speedup.
 func BenchmarkPrivatizeParallel(b *testing.B) {
 	r := benchSynthetic(b, 100000)
 	params := privacy.Uniform(r.Schema(), 0.1, 10)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -601,7 +612,7 @@ func BenchmarkPrivatizeParallel(b *testing.B) {
 func BenchmarkPrivatizeJobWorkers(b *testing.B) {
 	r := benchSynthetic(b, 5000)
 	params := privacy.Uniform(r.Schema(), 0.15, 0.5)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			dir := b.TempDir()
 			in := filepath.Join(dir, "data.csv")
@@ -740,6 +751,117 @@ func BenchmarkLevenshteinBounded(b *testing.B) {
 	b.Run("far", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			textutil.LevenshteinBounded(far[0], far[1], 2)
+		}
+	})
+}
+
+// ---- Layer benchmarks ------------------------------------------------------
+
+// layerRows is the resident-view size of the estimator layer benchmarks.
+const layerRows = 500000
+
+var layerFixture struct {
+	once sync.Once
+	view *relation.Relation
+	meta *privacy.ViewMeta
+	err  error
+}
+
+// benchLayerView returns a privatized 500k-row view — a 50-value category,
+// a 6-value region and two numeric columns — built once per process,
+// outside every timer.
+func benchLayerView(b *testing.B) (*relation.Relation, *privacy.ViewMeta) {
+	b.Helper()
+	f := &layerFixture
+	f.once.Do(func() {
+		rng := rand.New(rand.NewSource(12))
+		cats := make([]string, 50)
+		for i := range cats {
+			cats[i] = workload.CategoryValue(i)
+		}
+		regions := []string{"north", "south", "east", "west", "central", "island"}
+		category := make([]string, layerRows)
+		region := make([]string, layerRows)
+		value := make([]float64, layerRows)
+		score := make([]float64, layerRows)
+		for i := range category {
+			category[i] = cats[rng.Intn(len(cats))]
+			region[i] = regions[rng.Intn(len(regions))]
+			value[i] = rng.NormFloat64()*20 + 100
+			score[i] = float64(1 + rng.Intn(5))
+		}
+		schema := relation.MustSchema(
+			relation.Column{Name: "category", Kind: relation.Discrete},
+			relation.Column{Name: "region", Kind: relation.Discrete},
+			relation.Column{Name: "value", Kind: relation.Numeric},
+			relation.Column{Name: "score", Kind: relation.Numeric},
+		)
+		var r *relation.Relation
+		r, f.err = relation.FromColumns(schema,
+			map[string][]float64{"value": value, "score": score},
+			map[string][]string{"category": category, "region": region})
+		if f.err == nil {
+			f.view, f.meta, f.err = privacy.Privatize(rng, r, privacy.Uniform(schema, 0.1, 10))
+		}
+	})
+	if f.err != nil {
+		b.Fatal(f.err)
+	}
+	return f.view, f.meta
+}
+
+// BenchmarkLayer/estimator/<query>/<cold|warm> times one resident estimator
+// call at 500k rows, with the channel cache a server attaches. A cold call
+// is a predicate's first use (a fresh cache, so the call scans the rows); a
+// warm call answers from the memoized aggregates.
+func BenchmarkLayer(b *testing.B) {
+	b.Run("estimator", func(b *testing.B) {
+		view, meta := benchLayerView(b)
+		queries := []struct {
+			name string
+			call func(est *estimator.Estimator) error
+		}{
+			{"sum_in", func(est *estimator.Estimator) error {
+				_, err := est.Sum(view, "value", estimator.In("category",
+					workload.CategoryValue(0), workload.CategoryValue(3), workload.CategoryValue(7)))
+				return err
+			}},
+			{"avg_eq", func(est *estimator.Estimator) error {
+				_, err := est.Avg(view, "score", estimator.Eq("category", workload.CategoryValue(5)))
+				return err
+			}},
+			{"group_sum", func(est *estimator.Estimator) error {
+				_, err := est.GroupSums(view, "region", "value")
+				return err
+			}},
+			{"conj_count", func(est *estimator.Estimator) error {
+				_, err := est.CountConj(view, estimator.Eq("category", workload.CategoryValue(2)), estimator.Eq("region", "east"))
+				return err
+			}},
+		}
+		for _, q := range queries {
+			b.Run(q.name, func(b *testing.B) {
+				b.Run("cold", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						est := &estimator.Estimator{Meta: meta, Cache: estimator.NewChannelCache()}
+						if err := q.call(est); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.Run("warm", func(b *testing.B) {
+					est := &estimator.Estimator{Meta: meta, Cache: estimator.NewChannelCache()}
+					if err := q.call(est); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := q.call(est); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
 		}
 	})
 }

@@ -5,6 +5,7 @@ package estimator
 // selectivity and match tables on the server's shared estimator.
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -133,6 +134,19 @@ func TestAndPredicate(t *testing.T) {
 		}
 		if pc != cc {
 			t.Fatalf("Count(%s): plain %+v != cached %+v", pred, pc, cc)
+		}
+	}
+}
+
+// Eq and NotEq descriptions are cache keys shared with every cached entry;
+// they must keep rendering exactly as fmt's %q.
+func TestEqDescriptionsRenderAsQuotedFormat(t *testing.T) {
+	for _, v := range []string{"", "a", "b, c", `say "hi"`, "tab\there", "naïve", "\x00\xff", "Washington, DC"} {
+		if got, want := Eq("attr", v).String(), fmt.Sprintf("%s = %q", "attr", v); got != want {
+			t.Errorf("Eq desc = %s, want %s", got, want)
+		}
+		if got, want := NotEq("attr", v).String(), fmt.Sprintf("%s != %q", "attr", v); got != want {
+			t.Errorf("NotEq desc = %s, want %s", got, want)
 		}
 	}
 }

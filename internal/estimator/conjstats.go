@@ -10,11 +10,11 @@ import (
 )
 
 // Conjunction estimation over sufficient statistics. The resident-path
-// estimator (conjunction.go) scans rows, weighting each by the product of
-// per-attribute inverse-channel weights; the weight of a row depends only on
-// the pair of observed discrete values, so a recorded pairwise joint
-// distribution (JointStats, the -conj spec) carries everything the same
-// estimator needs:
+// estimator (conjunction.go) weights each row by the product of
+// per-attribute inverse-channel weights, summed per match pattern; the
+// weight of a row depends only on the pair of observed discrete values, so
+// a recorded pairwise joint distribution (JointStats, the -conj spec)
+// carries everything the same estimator needs:
 //
 //	ĉ = Σ_cells w(va)·w(vb)·count(va,vb)
 //	ĥ = Σ_cells w(va)·w(vb)·sums[agg](va,vb)
@@ -73,8 +73,8 @@ func (e *Estimator) conjJoint(st *Statistics, preds []Predicate) (j *JointStats,
 }
 
 // conjStatsAccumulate folds the joint cells into the conjunction count/sum
-// statistics, mirroring conjStatistics over rows. agg == "" accumulates the
-// count terms only.
+// statistics, mirroring patternTable.statistics over match patterns.
+// agg == "" accumulates the count terms only.
 func conjStatsAccumulate(j *JointStats, wA, wB func(string) float64, agg string, rows int) (count, sum, countVar, sumVar float64) {
 	var cAcc, hAcc, c2Acc, h2Acc float64
 	var sumRows float64

@@ -130,11 +130,13 @@ type Estimator struct {
 	// edge weights (the "PC-U" ablation of Figure 7). The default weighted
 	// cut is correct for multi-attribute cleaning.
 	UnweightedCut bool
-	// Cache, when non-nil, memoizes resolved channels (p, N, l) and
-	// per-predicate match tables across queries. Results are identical with
-	// or without it. Attach one (NewChannelCache) only while Meta, Prov, and
-	// the relation's predicate columns are not being mutated — the long-lived
-	// query-serving case. The cache itself is safe for concurrent use.
+	// Cache, when non-nil, memoizes resolved channels (p, N, l) and the
+	// per-predicate, per-column, GROUP BY and conjunction aggregates the
+	// estimators read, across queries. Results are bitwise identical with or
+	// without it. Attach one (NewChannelCache) only while Meta, Prov, and
+	// the relation's predicate and aggregate columns are not being mutated —
+	// the long-lived query-serving case. The cache itself is safe for
+	// concurrent use.
 	Cache *ChannelCache
 }
 
@@ -295,15 +297,7 @@ func (e *Estimator) Sum(rel *relation.Relation, agg string, pred Predicate) (Est
 	if err != nil {
 		return Estimate{}, err
 	}
-	col, err := rel.Numeric(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	muP, err := stats.Mean(col)
-	if err != nil {
-		return Estimate{}, err
-	}
-	varP, err := stats.Variance(col)
+	muP, varP, err := e.moments(rel, agg)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -370,15 +364,7 @@ func (e *Estimator) SumIgnoringFalsePositives(rel *relation.Relation, agg string
 		return Estimate{}, err
 	}
 	sp := float64(cPriv) / s
-	col, err := rel.Numeric(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	muP, err := stats.Mean(col)
-	if err != nil {
-		return Estimate{}, err
-	}
-	varP, err := stats.Variance(col)
+	muP, varP, err := e.moments(rel, agg)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -443,7 +429,7 @@ func (e *Estimator) TotalSum(rel *relation.Relation, agg string) (Estimate, erro
 	if err != nil {
 		return Estimate{}, err
 	}
-	varP, err := stats.Variance(col)
+	_, varP, err := e.moments(rel, agg)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -457,15 +443,7 @@ func (e *Estimator) TotalSum(rel *relation.Relation, agg string) (Estimate, erro
 
 // TotalAvg estimates a predicate-free mean with the Direct estimator.
 func (e *Estimator) TotalAvg(rel *relation.Relation, agg string) (Estimate, error) {
-	col, err := rel.Numeric(agg)
-	if err != nil {
-		return Estimate{}, err
-	}
-	m, err := stats.Mean(col)
-	if err != nil {
-		return Estimate{}, err
-	}
-	varP, err := stats.Variance(col)
+	m, varP, err := e.moments(rel, agg)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -571,10 +549,8 @@ func (e *Estimator) GroupAvgs(rel *relation.Relation, attr, agg string) (map[str
 // groupPass holds the shared per-code aggregates and column moments of one
 // vectorized GROUP BY evaluation.
 type groupPass struct {
+	*groupAgg
 	ix        *relation.DiscreteIndex
-	counts    []int
-	sums      []float64
-	total     float64
 	rows      float64
 	muP, varP float64
 }
@@ -591,16 +567,11 @@ func (e *Estimator) groupPass(rel *relation.Relation, attr, agg string) (*groupP
 	if rel.NumRows() == 0 {
 		return nil, fmt.Errorf("estimator: empty relation")
 	}
-	muP, err := stats.Mean(col)
+	muP, varP, err := e.moments(rel, agg)
 	if err != nil {
 		return nil, err
 	}
-	varP, err := stats.Variance(col)
-	if err != nil {
-		return nil, err
-	}
-	counts, sums, total := groupAggregates(ix, col)
-	return &groupPass{ix: ix, counts: counts, sums: sums, total: total,
+	return &groupPass{groupAgg: e.groupAggregates(ix, attr, agg, col), ix: ix,
 		rows: float64(rel.NumRows()), muP: muP, varP: varP}, nil
 }
 

@@ -131,7 +131,7 @@ func (e *Estimator) Var(rel rowSource, agg string, pred Predicate) (Estimate, er
 	if len(vals) < 2 {
 		return Estimate{}, fmt.Errorf("estimator: variance needs >= 2 rows, have %d", len(vals))
 	}
-	raw, err := stats.Variance(vals)
+	mean, raw, err := stats.MeanVariance(vals)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -142,10 +142,6 @@ func (e *Estimator) Var(rel rowSource, agg string, pred Predicate) (Estimate, er
 	}
 	// CLT interval for a sample variance: sd ~= sqrt((m4 - raw^2)/n) where
 	// m4 is the fourth central moment.
-	mean, err := stats.Mean(vals)
-	if err != nil {
-		return Estimate{}, err
-	}
 	var m4 float64
 	for _, x := range vals {
 		d := x - mean

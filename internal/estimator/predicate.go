@@ -3,6 +3,7 @@ package estimator
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -32,12 +33,14 @@ func (p Predicate) String() string {
 	return p.Attr + " matches <func>"
 }
 
-// Eq builds the predicate attr = value.
+// Eq builds the predicate attr = value. Its description renders value as
+// fmt's %q does (strconv.Quote), built without fmt because GROUP BY
+// estimates build one Eq per group on every call.
 func Eq(attr, value string) Predicate {
 	return Predicate{
 		Attr:  attr,
 		Match: func(v string) bool { return v == value },
-		desc:  fmt.Sprintf("%s = %q", attr, value),
+		desc:  attr + " = " + strconv.Quote(value),
 	}
 }
 
@@ -46,7 +49,7 @@ func NotEq(attr, value string) Predicate {
 	return Predicate{
 		Attr:  attr,
 		Match: func(v string) bool { return v != value },
-		desc:  fmt.Sprintf("%s != %q", attr, value),
+		desc:  attr + " != " + strconv.Quote(value),
 	}
 }
 

@@ -1,8 +1,6 @@
 package estimator
 
 import (
-	"math/bits"
-
 	"privateclean/internal/relation"
 )
 
@@ -15,9 +13,8 @@ import (
 // directly, anything larger indexes a per-code bool table (a branch-free
 // load; faster in practice than comparing even two codes per row). Counting
 // skips the row scan entirely when the dictionary carries per-code row
-// counts. Row scans can also be materialized into a rowBits bitset, which
-// the ChannelCache retains so repeated queries and conjunction
-// intersections reuse the same evaluation.
+// counts. A ChannelCache memoizes the aggregates these kernels produce,
+// never per-row state.
 //
 // The loops preserve the exact accumulation order of the scalar code they
 // replaced (ascending row order, NaN skipped before the match branch), so
@@ -159,98 +156,13 @@ func sumSelected(codes []uint32, vals []float64, sel selection) (matched, comple
 	return matched, complement
 }
 
-// rowBits is a materialized match bitset: one bit per row, plus the
-// precomputed population count. It is immutable once built, so the
-// ChannelCache can hand one instance to any number of concurrent readers.
-type rowBits struct {
-	words []uint64
-	rows  int
-	ones  int
-}
-
-// newRowBits returns an all-zero bitset over rows rows.
-func newRowBits(rows int) *rowBits {
-	return &rowBits{words: make([]uint64, (rows+63)/64), rows: rows}
-}
-
-// get reports whether row i is set.
-func (b *rowBits) get(i int) bool {
-	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// bitsFromSelection evaluates sel over a code vector into a bitset.
-func bitsFromSelection(codes []uint32, sel selection) *rowBits {
-	b := newRowBits(len(codes))
-	if sel.all {
-		for i := range b.words {
-			b.words[i] = ^uint64(0)
-		}
-		if tail := uint(len(codes)) & 63; tail != 0 && len(b.words) > 0 {
-			b.words[len(b.words)-1] = (1 << tail) - 1
-		}
-		b.ones = len(codes)
-		return b
-	}
-	switch {
-	case sel.table != nil:
-		table := sel.table
-		for i, c := range codes {
-			if table[c] {
-				b.words[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	case len(sel.codes) == 1:
-		m := sel.codes[0]
-		for i, c := range codes {
-			if c == m {
-				b.words[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	}
-	b.ones = popcount(b.words)
-	return b
-}
-
-// intersect returns a new bitset with the rows set in both operands.
-func (b *rowBits) intersect(o *rowBits) *rowBits {
-	out := newRowBits(b.rows)
-	for i := range out.words {
-		out.words[i] = b.words[i] & o.words[i]
-	}
-	out.ones = popcount(out.words)
-	return out
-}
-
-func popcount(words []uint64) int {
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// sumBits accumulates vals over a bitset and its complement in ascending row
-// order with the NaN-first skip, matching sumSelected exactly.
-func sumBits(vals []float64, b *rowBits) (matched, complement float64) {
-	for w, word := range b.words {
-		base := w << 6
-		end := base + 64
-		if end > b.rows {
-			end = b.rows
-		}
-		for r := base; r < end; r++ {
-			x := vals[r]
-			if x != x {
-				continue
-			}
-			if word&(1<<(uint(r)&63)) != 0 {
-				matched += x
-			} else {
-				complement += x
-			}
-		}
-	}
-	return matched, complement
+// groupAgg is the result of one GROUP BY pass: per-code row counts and
+// aggregate sums, and the column's row-order total. It is immutable once
+// built, so a ChannelCache can share one instance across readers.
+type groupAgg struct {
+	counts []int
+	sums   []float64
+	total  float64
 }
 
 // groupAggregates is the one-pass GROUP BY kernel over a dictionary-coded
@@ -262,9 +174,10 @@ func sumBits(vals []float64, b *rowBits) (matched, complement float64) {
 // value; the complement sum total − sums[c] re-associates the additions
 // relative to a per-value scan, which moves estimates by float rounding
 // (~1e-16 relative), the same caveat the statistics path documents.
-func groupAggregates(ix *relation.DiscreteIndex, vals []float64) (counts []int, sums []float64, total float64) {
-	counts = make([]int, ix.N())
-	sums = make([]float64, ix.N())
+func groupAggregates(ix *relation.DiscreteIndex, vals []float64) *groupAgg {
+	counts := make([]int, ix.N())
+	sums := make([]float64, ix.N())
+	total := 0.0
 	if ix.Counts != nil {
 		for c, n := range ix.Counts {
 			counts[c] = int(n)
@@ -282,19 +195,5 @@ func groupAggregates(ix *relation.DiscreteIndex, vals []float64) (counts []int, 
 		sums[c] += x
 		total += x
 	}
-	return counts, sums, total
-}
-
-// bitsForPredicate compiles pred against the column's dictionary and
-// materializes the match bitset, routed through the estimator's cache when
-// one is attached and the predicate is cacheable.
-func (e *Estimator) bitsForPredicate(rel *relation.Relation, pred Predicate) (*rowBits, error) {
-	ix, err := rel.DiscreteIndex(pred.Attr)
-	if err != nil {
-		return nil, err
-	}
-	if e != nil && e.Cache != nil {
-		return e.Cache.bitsFor(ix, pred), nil
-	}
-	return bitsFromSelection(ix.Codes, compileSelection(ix, pred)), nil
+	return &groupAgg{counts: counts, sums: sums, total: total}
 }

@@ -65,9 +65,9 @@ func naiveEval(rel *relation.Relation, pred Predicate, agg string) (count int, m
 
 // TestVectorizedMatchesNaive pins the vectorized executor to the reference
 // semantics bit for bit, across every selection representation (match-all,
-// match-none, single code, table) and both the direct and bitset paths.
+// match-none, single code, table).
 func TestVectorizedMatchesNaive(t *testing.T) {
-	rel := vectorRel(t, 997) // odd size: exercises the partial last bitset word
+	rel := vectorRel(t, 997)
 	preds := []Predicate{
 		{Attr: "cat"}, // nil Match: match-all
 		Eq("cat", "v03"),
@@ -100,43 +100,50 @@ func TestVectorizedMatchesNaive(t *testing.T) {
 		if gotM != wantM || gotC != wantC {
 			t.Errorf("%s: sumSelected = (%v, %v), want (%v, %v)", pred, gotM, gotC, wantM, wantC)
 		}
-		b := bitsFromSelection(ix.Codes, sel)
-		if b.ones != wantCount {
-			t.Errorf("%s: bitset ones = %d, want %d", pred, b.ones, wantCount)
-		}
-		gotM, gotC = sumBits(vals, b)
-		if gotM != wantM || gotC != wantC {
-			t.Errorf("%s: sumBits = (%v, %v), want (%v, %v)", pred, gotM, gotC, wantM, wantC)
-		}
-		for i := 0; i < rel.NumRows(); i++ {
-			want := pred.Match == nil || pred.Match(rel.MustDiscrete("cat")[i])
-			if b.get(i) != want {
-				t.Fatalf("%s: bit %d = %v, want %v", pred, i, b.get(i), want)
-			}
-		}
 	}
 }
 
-func TestConjBitsMatchesNaive(t *testing.T) {
-	rel := vectorRel(t, 500)
-	preds := []Predicate{In("cat", "v01", "v02", "v03", "v04", "v05", "v06"), Eq("other", "g1")}
-	b, err := conjBits(rel, preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := rel.MustDiscrete("cat")
-	other := rel.MustDiscrete("other")
-	want := 0
-	for i := 0; i < rel.NumRows(); i++ {
-		m := preds[0].Match(cat[i]) && preds[1].Match(other[i])
-		if m {
-			want++
+// TestDirectConjMatchesNaive pins the nominal conjunction count and sum —
+// the all-true entry of the pattern table — to a per-row evaluation, bit for
+// bit, including a match-all operand and an odd row count.
+func TestDirectConjMatchesNaive(t *testing.T) {
+	rel := vectorRel(t, 501)
+	cat, other, x := rel.MustDiscrete("cat"), rel.MustDiscrete("other"), rel.MustNumeric("x")
+	wide := In("cat", "v01", "v02", "v03", "v04", "v05", "v06")
+	for _, preds := range [][]Predicate{
+		{wide},
+		{wide, Eq("other", "g1")},
+		{Predicate{Attr: "other"}, Eq("cat", "v07")},
+		{Eq("cat", "no-such-value"), Eq("other", "g0")},
+	} {
+		wantN, wantSum := 0.0, 0.0
+		for i := range cat {
+			m := true
+			for _, p := range preds {
+				v := cat[i]
+				if p.Attr == "other" {
+					v = other[i]
+				}
+				m = m && (p.Match == nil || p.Match(v))
+			}
+			if !m {
+				continue
+			}
+			wantN++
+			if !math.IsNaN(x[i]) {
+				wantSum += x[i]
+			}
 		}
-		if b.get(i) != m {
-			t.Fatalf("row %d: intersected bit = %v, want %v", i, b.get(i), m)
+		n, err := DirectCountConj(rel, preds...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if b.ones != want {
-		t.Fatalf("intersection ones = %d, want %d", b.ones, want)
+		sum, err := DirectSumConj(rel, "x", preds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != wantN || math.Float64bits(sum) != math.Float64bits(wantSum) {
+			t.Fatalf("%v: direct (count, sum) = (%v, %v), want (%v, %v)", preds, n, sum, wantN, wantSum)
+		}
 	}
 }

@@ -302,6 +302,13 @@ func TestTimeout(t *testing.T) {
 	}
 
 	<-done
+	// The hook returning is not the worker finishing: the query still runs,
+	// then releases its slot. Wait for that release before reusing the slot.
+	for deadline := time.Now().Add(5 * time.Second); len(s.sem) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the timed-out query never released its admission slot")
+		}
+	}
 	resp, body = postQuery(t, ts.URL, "SELECT count(1) FROM R WHERE category = 'a'")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-timeout status = %d (%s)", resp.StatusCode, body)

@@ -50,9 +50,18 @@ func Mean(xs []float64) (float64, error) {
 
 // Variance returns the population variance of xs, skipping NaN entries.
 func Variance(xs []float64) (float64, error) {
+	_, v, err := MeanVariance(xs)
+	return v, err
+}
+
+// MeanVariance returns the mean and population variance of xs, skipping NaN
+// entries, in two passes: one for the mean and one for the squared
+// deviations from it. The results are bitwise equal to Mean followed by
+// Variance, which read the input three times.
+func MeanVariance(xs []float64) (mean, variance float64, err error) {
 	m, err := Mean(xs)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var ss float64
 	n := 0
@@ -64,7 +73,7 @@ func Variance(xs []float64) (float64, error) {
 		ss += d * d
 		n++
 	}
-	return ss / float64(n), nil
+	return m, ss / float64(n), nil
 }
 
 // StdDev returns the population standard deviation of xs.

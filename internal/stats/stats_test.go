@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -221,5 +222,71 @@ func TestRelativeErrorScaleInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// varianceThreePass is the original Variance: Mean, then a second Mean
+// inside the deviation pass. MeanVariance must reproduce it bit for bit.
+func varianceThreePass(xs []float64) (float64, float64, error) {
+	mean, err := Mean(xs)
+	if err != nil {
+		return 0, 0, err
+	}
+	m, err := Mean(xs)
+	if err != nil {
+		return 0, 0, err
+	}
+	var ss float64
+	n := 0
+	for _, x := range xs {
+		if math.IsNaN(x) {
+			continue
+		}
+		d := x - m
+		ss += d * d
+		n++
+	}
+	return mean, ss / float64(n), nil
+}
+
+func TestMeanVarianceBitwiseEqualsMeanThenVariance(t *testing.T) {
+	nan := math.NaN()
+	rng := rand.New(rand.NewSource(3))
+	holed := make([]float64, 1001)
+	for i := range holed {
+		holed[i] = rng.NormFloat64()*1e3 + 7
+		if i%7 == 0 {
+			holed[i] = nan
+		}
+	}
+	cases := map[string][]float64{
+		"empty":        {},
+		"nil":          nil,
+		"all-nan":      {nan, nan},
+		"single":       {0.1},
+		"single+nan":   {nan, 3.3, nan},
+		"nan-holed":    holed,
+		"tiny+huge":    {1e-300, 1e300, -1e300, 3},
+		"constant-odd": {0.1, 0.1, 0.1},
+	}
+	for name, xs := range cases {
+		wm, wv, werr := varianceThreePass(xs)
+		m, v, err := MeanVariance(xs)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("%s: err = %v, want %v", name, err, werr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrEmpty) {
+				t.Fatalf("%s: err = %v, want ErrEmpty", name, err)
+			}
+			continue
+		}
+		if math.Float64bits(m) != math.Float64bits(wm) || math.Float64bits(v) != math.Float64bits(wv) {
+			t.Fatalf("%s: MeanVariance = (%x, %x), want (%x, %x)", name,
+				math.Float64bits(m), math.Float64bits(v), math.Float64bits(wm), math.Float64bits(wv))
+		}
+		if vv, _ := Variance(xs); math.Float64bits(vv) != math.Float64bits(wv) {
+			t.Fatalf("%s: Variance = %x, want %x", name, math.Float64bits(vv), math.Float64bits(wv))
+		}
 	}
 }

@@ -3,6 +3,13 @@
 // machine-readable form alongside the raw lines, which stay
 // benchstat-compatible.
 //
+// Each result records the GOMAXPROCS it ran at, read from the -N suffix go
+// test appends to the name (no suffix means 1). A name carrying go test's
+// "#NN" marker — two sub-benchmarks of one run shared a name, so the numbers
+// of different configurations would be filed under one key — is an error:
+// benchjson exits non-zero. Repeats from -count N keep their plain name and
+// are not duplicates.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem . | go run ./tools/benchjson > BENCH.json
@@ -13,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -21,11 +29,13 @@ import (
 //
 //	BenchmarkPrivatizeJob-8  90  13201821 ns/op  378755 rows/s  1993132 B/op  20356 allocs/op
 type Result struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op,omitempty"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	Name string `json:"name"`
+	// GOMAXPROCS is the -N suffix of the name, or 1 when there is none.
+	GOMAXPROCS  int     `json:"gomaxprocs"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds the remaining unit -> value pairs (custom b.ReportMetric
 	// units like "rows/s" or "PrivateClean-err-%").
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -55,6 +65,14 @@ func main() {
 	}
 }
 
+var (
+	// procsSuffix is the -N GOMAXPROCS suffix go test appends when N > 1.
+	procsSuffix = regexp.MustCompile(`-(\d+)$`)
+	// dupMarker is the #NN go test appends to the second and later of
+	// several sub-benchmarks that share a name.
+	dupMarker = regexp.MustCompile(`#\d+(-\d+)?$`)
+)
+
 func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{Results: []Result{}}
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -77,7 +95,19 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 			rep.Results = append(rep.Results, res)
 		}
 	}
-	return rep, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	var dups []string
+	for _, r := range rep.Results {
+		if dupMarker.MatchString(r.Name) {
+			dups = append(dups, r.Name)
+		}
+	}
+	if len(dups) > 0 {
+		return nil, fmt.Errorf("duplicate benchmark names (go test renamed a repeated sub-benchmark): %s", strings.Join(dups, ", "))
+	}
+	return rep, nil
 }
 
 func parseResult(line string) (Result, error) {
@@ -89,7 +119,12 @@ func parseResult(line string) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("iterations in %q: %w", line, err)
 	}
-	res := Result{Name: fields[0], Iterations: iters, Raw: line}
+	res := Result{Name: fields[0], GOMAXPROCS: 1, Iterations: iters, Raw: line}
+	if m := procsSuffix.FindStringSubmatch(res.Name); m != nil {
+		if res.GOMAXPROCS, err = strconv.Atoi(m[1]); err != nil {
+			return Result{}, fmt.Errorf("GOMAXPROCS suffix in %q: %w", line, err)
+		}
+	}
 	// The remainder is (value, unit) pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
