@@ -12,6 +12,7 @@ package privateclean_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -810,10 +811,45 @@ func benchLayerView(b *testing.B) (*relation.Relation, *privacy.ViewMeta) {
 	return f.view, f.meta
 }
 
+var layerStatsFixture struct {
+	once sync.Once
+	data []byte // the statistics JSON, as `pc stats` writes it
+	err  error
+}
+
+// benchLayerStats returns the JSON statistics of the layer view — released
+// 32-bin histograms of both numeric columns and the category×region joint —
+// built once per process, outside every timer.
+func benchLayerStats(b *testing.B) []byte {
+	b.Helper()
+	view, meta := benchLayerView(b)
+	f := &layerStatsFixture
+	f.once.Do(func() {
+		opts := estimator.CollectOpts{BinEdges: map[string][]float64{}, Joints: [][2]string{{"category", "region"}}}
+		for name, nm := range meta.Numeric {
+			nm.Bins = 32
+			opts.BinEdges[name] = nm.BinEdges()
+		}
+		var st *estimator.Statistics
+		if st, f.err = estimator.CollectStatisticsWith(relation.NewSliceIterator(view, 8192), opts); f.err == nil {
+			f.data, f.err = json.MarshalIndent(st, "", "  ")
+		}
+	})
+	if f.err != nil {
+		b.Fatal(f.err)
+	}
+	return f.data
+}
+
 // BenchmarkLayer/estimator/<query>/<cold|warm> times one resident estimator
 // call at 500k rows, with the channel cache a server attaches. A cold call
 // is a predicate's first use (a fresh cache, so the call scans the rows); a
 // warm call answers from the memoized aggregates.
+//
+// BenchmarkLayer/stats/decode times decoding the 500k-row view's statistics
+// JSON; BenchmarkLayer/stats/<query> times one *Stats call on the decoded
+// statistics, as a `serve -stats` server makes it (channel cache attached,
+// first use already paid).
 func BenchmarkLayer(b *testing.B) {
 	b.Run("estimator", func(b *testing.B) {
 		view, meta := benchLayerView(b)
@@ -861,6 +897,63 @@ func BenchmarkLayer(b *testing.B) {
 						}
 					}
 				})
+			})
+		}
+	})
+	b.Run("stats", func(b *testing.B) {
+		data := benchLayerStats(b)
+		_, meta := benchLayerView(b)
+		b.Run("decode", func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				var st estimator.Statistics
+				if err := json.Unmarshal(data, &st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		st := &estimator.Statistics{}
+		if err := json.Unmarshal(data, st); err != nil {
+			b.Fatal(err)
+		}
+		queries := []struct {
+			name string
+			call func(est *estimator.Estimator) error
+		}{
+			{"count_eq", func(est *estimator.Estimator) error {
+				_, err := est.CountStats(st, estimator.Eq("category", workload.CategoryValue(5)))
+				return err
+			}},
+			{"sum_in", func(est *estimator.Estimator) error {
+				_, err := est.SumStats(st, "value", estimator.In("category",
+					workload.CategoryValue(0), workload.CategoryValue(3), workload.CategoryValue(7)))
+				return err
+			}},
+			{"group_sum", func(est *estimator.Estimator) error {
+				_, err := est.GroupSumsStats(st, "region", "value")
+				return err
+			}},
+			{"conj_count", func(est *estimator.Estimator) error {
+				_, err := est.CountConjStats(st, estimator.Eq("category", workload.CategoryValue(2)), estimator.Eq("region", "east"))
+				return err
+			}},
+			{"median", func(est *estimator.Estimator) error {
+				_, err := est.MedianStats(st, "value", estimator.Eq("category", workload.CategoryValue(4)))
+				return err
+			}},
+		}
+		for _, q := range queries {
+			b.Run(q.name, func(b *testing.B) {
+				est := &estimator.Estimator{Meta: meta, Cache: estimator.NewChannelCache()}
+				if err := q.call(est); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := q.call(est); err != nil {
+						b.Fatal(err)
+					}
+				}
 			})
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/stats"
@@ -48,7 +47,7 @@ import (
 // histogram returns the binned layout of a numeric attribute, or a typed
 // error naming the flag that records one.
 func (st *Statistics) histogram(agg string) (*Histogram, error) {
-	if h, ok := st.Hist[agg]; ok {
+	if h := st.Hist[agg]; h != nil {
 		return h, nil
 	}
 	if _, ok := st.Numeric[agg]; !ok {
@@ -77,24 +76,20 @@ func (e *Estimator) binEdges(attr string) ([]float64, error) {
 }
 
 // binnedMatched accumulates the observed matched count per bin for pred over
-// the recorded per-value bin counts, plus the per-bin totals.
+// the recorded per-value bin counts, in sorted-value order.
 func (st *Statistics) binnedMatched(h *Histogram, agg string, pred Predicate) ([]float64, error) {
-	vs, ok := st.Discrete[pred.Attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", pred.Attr)
+	a, err := st.attr(pred.Attr)
+	if err != nil {
+		return nil, err
 	}
 	matched := make([]float64, len(h.Counts))
-	domain := make([]string, 0, len(vs))
-	for v := range vs {
-		domain = append(domain, v)
-	}
-	sort.Strings(domain)
-	for _, v := range domain {
-		if pred.Match != nil && !pred.Match(v) {
+	sel := matching(pred)
+	for k, v := range a.vals {
+		if !sel.picks(k, v) {
 			continue
 		}
-		for k, c := range vs[v].Bins[agg] {
-			matched[k] += float64(c)
+		for b, c := range a.bins[agg][k] {
+			matched[b] += float64(c)
 		}
 	}
 	return matched, nil
@@ -109,6 +104,12 @@ func (e *Estimator) PercentileStats(st *Statistics, agg string, pred Predicate, 
 	if err != nil {
 		return Estimate{}, err
 	}
+	return e.binnedQuantile(h, pred, q, func() ([]float64, error) { return st.binnedMatched(h, agg, pred) })
+}
+
+// binnedQuantile is PercentileStats over histogram h, with matchedBins
+// supplying the observed matched count per bin when pred has an attribute.
+func (e *Estimator) binnedQuantile(h *Histogram, pred Predicate, q float64, matchedBins func() ([]float64, error)) (Estimate, error) {
 	nb := len(h.Counts)
 	matched := make([]float64, nb)
 	unbiased := make([]float64, nb)
@@ -127,7 +128,7 @@ func (e *Estimator) PercentileStats(st *Statistics, agg string, pred Predicate, 
 			return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
 		}
 		denom = ch.denom
-		matched, err = st.binnedMatched(h, agg, pred)
+		matched, err = matchedBins()
 		if err != nil {
 			return Estimate{}, err
 		}

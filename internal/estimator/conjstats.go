@@ -3,7 +3,6 @@ package estimator
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/stats"
@@ -21,87 +20,105 @@ import (
 //
 // with the identical CLT variances — Σw²·x² aggregates through the recorded
 // squared sums. Cells are folded in sorted (va, vb) order so the result is
-// deterministic across collector window sizes. Exactly two distinct
+// deterministic across collector window sizes; the order is built once per
+// statistics (statsview.go), not per query. Exactly two distinct
 // attributes are supported: the store records pairwise joints only.
 
-// conjJoint resolves the joint distribution and per-attribute weights for a
-// two-predicate conjunction, aligning the predicates with the pair's (A, B)
-// order.
-func (e *Estimator) conjJoint(st *Statistics, preds []Predicate) (j *JointStats, wA, wB func(string) float64, err error) {
+// conjPair resolves the recorded joint for a two-predicate conjunction and
+// returns the predicates aligned with the pair's (A, B) order.
+func conjPair(st *Statistics, preds []Predicate) (jv *jointView, pa, pb Predicate, err error) {
 	if len(preds) != 2 {
-		return nil, nil, nil, faults.Errorf(faults.ErrBadQuery,
+		return nil, pa, pb, faults.Errorf(faults.ErrBadQuery,
 			"estimator: conjunctions over statistics support exactly two distinct attributes, got %d; query the view with -in/-col instead", len(preds))
 	}
-	pa, pb := preds[0], preds[1]
+	pa, pb = preds[0], preds[1]
 	if pa.Attr == pb.Attr {
-		return nil, nil, nil, fmt.Errorf("estimator: conjunction has two predicates on %q; combine them into one", pa.Attr)
+		return nil, pa, pb, fmt.Errorf("estimator: conjunction has two predicates on %q; combine them into one", pa.Attr)
 	}
 	if pb.Attr < pa.Attr {
 		pa, pb = pb, pa
 	}
-	j, ok := st.Joint(pa.Attr, pb.Attr)
+	jv, ok := st.joint(pa.Attr, pb.Attr)
 	if !ok {
-		return nil, nil, nil, faults.Errorf(faults.ErrBadQuery,
+		return nil, pa, pb, faults.Errorf(faults.ErrBadQuery,
 			"estimator: statistics record no joint distribution for %q and %q; re-run 'privateclean stats' with -conj %s,%s, or query the view with -in/-col",
 			pa.Attr, pb.Attr, pa.Attr, pb.Attr)
 	}
-	weight := func(pred Predicate) (func(string) float64, error) {
-		ch, err := e.channel(pred)
-		if err != nil {
-			return nil, err
-		}
-		if ch.denom <= 0 {
-			return nil, fmt.Errorf("estimator: p = %v on %q leaves no signal to invert", ch.p, pred.Attr)
-		}
-		wTrue := (1 - ch.tauN) / ch.denom
-		wFalse := -ch.tauN / ch.denom
-		match := pred.Match
-		return func(v string) float64 {
-			if match == nil || match(v) {
-				return wTrue
-			}
-			return wFalse
-		}, nil
-	}
-	if wA, err = weight(pa); err != nil {
+	return jv, pa, pb, nil
+}
+
+// conjJoint resolves the joint and per-attribute weights for a
+// two-predicate conjunction.
+func (e *Estimator) conjJoint(st *Statistics, preds []Predicate) (jv *jointView, wA, wB func(string) float64, err error) {
+	jv, pa, pb, err := conjPair(st, preds)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if wB, err = weight(pb); err != nil {
+	if wA, err = e.conjWeight(pa); err != nil {
 		return nil, nil, nil, err
 	}
-	return j, wA, wB, nil
+	if wB, err = e.conjWeight(pb); err != nil {
+		return nil, nil, nil, err
+	}
+	return jv, wA, wB, nil
+}
+
+// conjWeight returns the inverse-channel weight of an observed value of
+// pred's attribute: (1−τ_n)/(τ_p−τ_n) when it matches, −τ_n/(τ_p−τ_n) when
+// not.
+func (e *Estimator) conjWeight(pred Predicate) (func(string) float64, error) {
+	ch, err := e.channel(pred)
+	if err != nil {
+		return nil, err
+	}
+	if ch.denom <= 0 {
+		return nil, fmt.Errorf("estimator: p = %v on %q leaves no signal to invert", ch.p, pred.Attr)
+	}
+	wTrue := (1 - ch.tauN) / ch.denom
+	wFalse := -ch.tauN / ch.denom
+	match := pred.Match
+	return func(v string) float64 {
+		if match == nil || match(v) {
+			return wTrue
+		}
+		return wFalse
+	}, nil
+}
+
+// weights evaluates f once per distinct value.
+func weights(vals []string, f func(string) float64) []float64 {
+	w := make([]float64, len(vals))
+	for k, v := range vals {
+		w[k] = f(v)
+	}
+	return w
 }
 
 // conjStatsAccumulate folds the joint cells into the conjunction count/sum
-// statistics, mirroring patternTable.statistics over match patterns.
-// agg == "" accumulates the count terms only.
-func conjStatsAccumulate(j *JointStats, wA, wB func(string) float64, agg string, rows int) (count, sum, countVar, sumVar float64) {
+// statistics, mirroring patternTable.statistics over match patterns. Cells
+// are folded in sorted (va, vb) order with each side's weight evaluated
+// once per distinct value. agg == "" accumulates the count terms only; an
+// aggregate the joint never recorded adds only zero terms, so it is
+// skipped.
+func conjStatsAccumulate(jv *jointView, wA, wB func(string) float64, agg string, rows int) (count, sum, countVar, sumVar float64) {
 	var cAcc, hAcc, c2Acc, h2Acc float64
 	var sumRows float64
-	vas := make([]string, 0, len(j.Cells))
-	for va := range j.Cells {
-		vas = append(vas, va)
+	wa, wb := weights(jv.aVals, wA), weights(jv.bVals, wB)
+	var sums, sumSqs []float64
+	var nonNaN []int
+	if agg != "" {
+		sums, sumSqs, nonNaN = jv.j.aggregate(agg)
 	}
-	sort.Strings(vas)
-	for _, va := range vas {
-		row := j.Cells[va]
-		wa := wA(va)
-		vbs := make([]string, 0, len(row))
-		for vb := range row {
-			vbs = append(vbs, vb)
-		}
-		sort.Strings(vbs)
-		for _, vb := range vbs {
-			cell := row[vb]
-			w := wa * wB(vb)
-			n := float64(cell.Count)
-			cAcc += w * n
-			c2Acc += w * w * n
-			if agg != "" {
-				hAcc += w * cell.Sums[agg]
-				h2Acc += w * w * cell.SumSqs[agg]
-				sumRows += float64(cell.NonNaN[agg])
-			}
+	counts := jv.j.counts
+	for k, i := range jv.cells {
+		w := wa[jv.aPos[k]] * wb[jv.bPos[k]]
+		n := float64(counts[i])
+		cAcc += w * n
+		c2Acc += w * w * n
+		if sums != nil {
+			hAcc += w * sums[i]
+			h2Acc += w * w * sumSqs[i]
+			sumRows += float64(nonNaN[i])
 		}
 	}
 	s := float64(rows)
@@ -176,16 +193,14 @@ func (e *Estimator) AvgConjStats(st *Statistics, agg string, preds ...Predicate)
 
 // DirectCountConjStats is the nominal conjunction count from the joint.
 func DirectCountConjStats(st *Statistics, preds ...Predicate) (float64, error) {
-	j, match, err := directConjJoint(st, preds)
+	jv, inA, inB, err := directConjJoint(st, preds)
 	if err != nil {
 		return 0, err
 	}
 	n := 0
-	for va, row := range j.Cells {
-		for vb, cell := range row {
-			if match(va, vb) {
-				n += cell.Count
-			}
+	for k, i := range jv.cells {
+		if inA[jv.aPos[k]] && inB[jv.bPos[k]] {
+			n += jv.j.counts[i]
 		}
 	}
 	return float64(n), nil
@@ -194,30 +209,21 @@ func DirectCountConjStats(st *Statistics, preds ...Predicate) (float64, error) {
 // DirectSumConjStats is the nominal conjunction sum from the joint,
 // accumulated in sorted cell order.
 func DirectSumConjStats(st *Statistics, agg string, preds ...Predicate) (float64, error) {
-	j, match, err := directConjJoint(st, preds)
+	jv, inA, inB, err := directConjJoint(st, preds)
 	if err != nil {
 		return 0, err
 	}
 	if _, err := st.moments(agg); err != nil {
 		return 0, err
 	}
-	vas := make([]string, 0, len(j.Cells))
-	for va := range j.Cells {
-		vas = append(vas, va)
-	}
-	sort.Strings(vas)
+	sums, _, _ := jv.j.aggregate(agg)
 	sum := 0.0
-	for _, va := range vas {
-		row := j.Cells[va]
-		vbs := make([]string, 0, len(row))
-		for vb := range row {
-			vbs = append(vbs, vb)
-		}
-		sort.Strings(vbs)
-		for _, vb := range vbs {
-			if match(va, vb) {
-				sum += row[vb].Sums[agg]
-			}
+	if sums == nil {
+		return sum, nil
+	}
+	for k, i := range jv.cells {
+		if inA[jv.aPos[k]] && inB[jv.bPos[k]] {
+			sum += sums[i]
 		}
 	}
 	return sum, nil
@@ -239,27 +245,19 @@ func DirectAvgConjStats(st *Statistics, agg string, preds ...Predicate) (float64
 	return s / c, nil
 }
 
-// directConjJoint resolves the joint and a cell-match function for the
-// Direct variants, with the same pair normalization as conjJoint.
-func directConjJoint(st *Statistics, preds []Predicate) (*JointStats, func(va, vb string) bool, error) {
-	if len(preds) != 2 {
-		return nil, nil, faults.Errorf(faults.ErrBadQuery,
-			"estimator: conjunctions over statistics support exactly two distinct attributes, got %d; query the view with -in/-col instead", len(preds))
+// directConjJoint resolves the joint for the Direct variants, with each
+// side's match evaluated once per distinct value.
+func directConjJoint(st *Statistics, preds []Predicate) (jv *jointView, inA, inB []bool, err error) {
+	jv, pa, pb, err := conjPair(st, preds)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	pa, pb := preds[0], preds[1]
-	if pa.Attr == pb.Attr {
-		return nil, nil, fmt.Errorf("estimator: conjunction has two predicates on %q; combine them into one", pa.Attr)
+	matches := func(vals []string, match func(string) bool) []bool {
+		in := make([]bool, len(vals))
+		for k, v := range vals {
+			in[k] = match == nil || match(v)
+		}
+		return in
 	}
-	if pb.Attr < pa.Attr {
-		pa, pb = pb, pa
-	}
-	j, ok := st.Joint(pa.Attr, pb.Attr)
-	if !ok {
-		return nil, nil, faults.Errorf(faults.ErrBadQuery,
-			"estimator: statistics record no joint distribution for %q and %q; re-run 'privateclean stats' with -conj %s,%s, or query the view with -in/-col",
-			pa.Attr, pb.Attr, pa.Attr, pb.Attr)
-	}
-	return j, func(va, vb string) bool {
-		return (pa.Match == nil || pa.Match(va)) && (pb.Match == nil || pb.Match(vb))
-	}, nil
+	return jv, matches(jv.aVals, pa.Match), matches(jv.bVals, pb.Match), nil
 }

@@ -101,6 +101,25 @@ func renderResult(v any, err error) string {
 			fmt.Fprintf(&b, "%q=%s;", k, bits(r[k]))
 		}
 		return b.String()
+	case float64:
+		return fmt.Sprintf("%x", math.Float64bits(r))
+	case map[string]float64:
+		keys := make([]string, 0, len(r))
+		for k := range r {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var b strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&b, "%q=%x;", k, math.Float64bits(r[k]))
+		}
+		return b.String()
+	case []BinEstimate:
+		var b strings.Builder
+		for _, be := range r {
+			fmt.Fprintf(&b, "%x,%x,%q=%s;", math.Float64bits(be.Lo), math.Float64bits(be.Hi), be.Label, bits(be.Est))
+		}
+		return b.String()
 	}
 	panic(fmt.Sprintf("unexpected result %T", v))
 }

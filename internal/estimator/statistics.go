@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"privateclean/internal/faults"
 	"privateclean/internal/relation"
@@ -28,6 +30,13 @@ import (
 //   - pairwise joint marginals (CollectOpts.Joints, the -conj spec): per
 //     (value_a, value_b) cell counts and aggregate sums, which answer
 //     cross-attribute AND conjunctions over exactly the recorded pairs.
+//     Joints are stored densely (jointstats.go) and decoded in one pass.
+//
+// Queries read a sorted view of the statistics (statsview.go): each
+// discrete attribute's values in sorted order with their marginals, and
+// each joint's cells in sorted (value_a, value_b) order. It is built once,
+// on first use, and rebuilt after Collector.Add, so a query costs O(domain)
+// arithmetic with no sorting and no map walk.
 //
 // What still cannot be answered from these marginals: var/std (needs the raw
 // column), conjunctions over unrecorded pairs or of three or more
@@ -94,25 +103,6 @@ type Histogram struct {
 	Counts []int     `json:"counts"`
 }
 
-// JointCell holds the marginals of one (value_a, value_b) cell of a pairwise
-// joint distribution: the row count plus per-numeric-attribute aggregate
-// sums, squared sums, and non-NaN counts over the cell's rows.
-type JointCell struct {
-	Count  int                `json:"count"`
-	Sums   map[string]float64 `json:"sums,omitempty"`
-	SumSqs map[string]float64 `json:"sumsqs,omitempty"`
-	NonNaN map[string]int     `json:"nonnan,omitempty"`
-}
-
-// JointStats is the pairwise joint distribution of two discrete attributes
-// (A < B lexicographically): Cells[va][vb] are the marginals of the rows
-// holding both values.
-type JointStats struct {
-	A     string                           `json:"a"`
-	B     string                           `json:"b"`
-	Cells map[string]map[string]*JointCell `json:"cells"`
-}
-
 // Statistics is the serializable sufficient-statistics summary of one
 // (cleaned) private relation.
 type Statistics struct {
@@ -131,6 +121,11 @@ type Statistics struct {
 	// Present only for pairs named in the collector's -conj spec; use Joint
 	// for order-insensitive lookup (the key is cosmetic).
 	Joints map[string]*JointStats `json:"joints,omitempty"`
+
+	// sorted caches the sorted view the estimators read (statsview.go).
+	// Code that edits the exported fields directly, rather than through a
+	// Collector, must not have queried the statistics before.
+	sorted atomic.Pointer[statsView]
 }
 
 // Joint returns the recorded pairwise joint of two discrete attributes, in
@@ -139,12 +134,11 @@ func (st *Statistics) Joint(a, b string) (*JointStats, bool) {
 	if b < a {
 		a, b = b, a
 	}
-	for _, j := range st.Joints {
-		if j.A == a && j.B == b {
-			return j, true
-		}
+	jv, ok := st.joint(a, b)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return jv.j, true
 }
 
 // jointKey is the serialized map key of a normalized pair.
@@ -175,16 +169,11 @@ func binIndex(edges []float64, x float64) int {
 
 // Domain returns the sorted distinct values of a discrete attribute.
 func (st *Statistics) Domain(attr string) ([]string, error) {
-	vs, ok := st.Discrete[attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
+	a, err := st.attr(attr)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]string, 0, len(vs))
-	for v := range vs {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out, nil
+	return slices.Clone(a.vals), nil
 }
 
 // moments returns the recorded moments of a numeric attribute.
@@ -194,49 +183,6 @@ func (st *Statistics) moments(agg string) (Moments, error) {
 		return Moments{}, fmt.Errorf("estimator: no statistics for numeric attribute %q", agg)
 	}
 	return m, nil
-}
-
-// countMatches returns the number of rows whose pred.Attr value satisfies
-// pred (nil Match matches all), from the per-value counts.
-func (st *Statistics) countMatches(pred Predicate) (int, error) {
-	vs, ok := st.Discrete[pred.Attr]
-	if !ok {
-		return 0, fmt.Errorf("estimator: no statistics for discrete attribute %q", pred.Attr)
-	}
-	n := 0
-	for v, s := range vs {
-		if pred.Match == nil || pred.Match(v) {
-			n += s.Count
-		}
-	}
-	return n, nil
-}
-
-// sumMatches returns the sums of agg over rows satisfying pred and over the
-// complement, accumulating per-value sums in sorted-value order so the
-// result is deterministic.
-func (st *Statistics) sumMatches(agg string, pred Predicate) (matched, complement float64, err error) {
-	vs, ok := st.Discrete[pred.Attr]
-	if !ok {
-		return 0, 0, fmt.Errorf("estimator: no statistics for discrete attribute %q", pred.Attr)
-	}
-	if _, err := st.moments(agg); err != nil {
-		return 0, 0, err
-	}
-	domain := make([]string, 0, len(vs))
-	for v := range vs {
-		domain = append(domain, v)
-	}
-	sort.Strings(domain)
-	for _, v := range domain {
-		x := vs[v].Sums[agg]
-		if pred.Match == nil || pred.Match(v) {
-			matched += x
-		} else {
-			complement += x
-		}
-	}
-	return matched, complement, nil
 }
 
 // CollectOpts configures the optional statistics layouts.
@@ -334,7 +280,8 @@ func contains(names []string, want string) bool {
 // behaves like NewCollector; otherwise later windows must match the schema
 // recorded in st.Columns. Reload normalization: maps dropped by omitempty
 // when empty (a value all of whose aggregate cells were missing) are
-// reallocated so Add can keep accumulating into them.
+// reallocated so Add can keep accumulating into them. A null value,
+// histogram or joint entry is rejected with ErrBadMeta.
 func NewCollectorFrom(st *Statistics) (*Collector, error) {
 	if st == nil || len(st.Columns) == 0 {
 		return NewCollector(), nil
@@ -353,12 +300,18 @@ func NewCollectorFrom(st *Statistics) (*Collector, error) {
 	// histogram edges and joint pairs are part of the stored statistics, so
 	// a resumed collector keeps accumulating into the same layout.
 	for attr, h := range st.Hist {
+		if h == nil {
+			return nil, faults.Errorf(faults.ErrBadMeta, "estimator: histogram of %q is null", attr)
+		}
 		if c.opts.BinEdges == nil {
 			c.opts.BinEdges = make(map[string][]float64, len(st.Hist))
 		}
 		c.opts.BinEdges[attr] = h.Edges
 	}
-	for _, j := range st.Joints {
+	for key, j := range st.Joints {
+		if j == nil {
+			return nil, faults.Errorf(faults.ErrBadMeta, "estimator: joint %q is null", key)
+		}
 		c.opts.Joints = append(c.opts.Joints, [2]string{j.A, j.B})
 	}
 	if st.Discrete == nil {
@@ -368,7 +321,10 @@ func NewCollectorFrom(st *Statistics) (*Collector, error) {
 		if st.Discrete[a] == nil {
 			st.Discrete[a] = make(map[string]*ValueStats)
 		}
-		for _, s := range st.Discrete[a] {
+		for v, s := range st.Discrete[a] {
+			if s == nil {
+				return nil, faults.Errorf(faults.ErrBadMeta, "estimator: statistics of %q = %q are null", a, v)
+			}
 			if len(c.numeric) > 0 && s.Sums == nil {
 				s.Sums = make(map[string]float64, len(c.numeric))
 			}
@@ -380,24 +336,10 @@ func NewCollectorFrom(st *Statistics) (*Collector, error) {
 	if st.Numeric == nil {
 		st.Numeric = make(map[string]Moments, len(c.numeric))
 	}
-	for _, j := range st.Joints {
-		for _, row := range j.Cells {
-			for _, cell := range row {
-				if cell.Sums == nil {
-					cell.Sums = make(map[string]float64, len(c.numeric))
-				}
-				if cell.SumSqs == nil {
-					cell.SumSqs = make(map[string]float64, len(c.numeric))
-				}
-				if cell.NonNaN == nil {
-					cell.NonNaN = make(map[string]int, len(c.numeric))
-				}
-			}
-		}
-	}
 	if err := c.validateOpts(); err != nil {
 		return nil, err
 	}
+	st.invalidate()
 	return c, nil
 }
 
@@ -427,9 +369,7 @@ func (c *Collector) Add(win *relation.Relation) error {
 		if len(c.opts.Joints) > 0 {
 			c.st.Joints = make(map[string]*JointStats, len(c.opts.Joints))
 			for _, pair := range c.opts.Joints {
-				c.st.Joints[jointKey(pair[0], pair[1])] = &JointStats{
-					A: pair[0], B: pair[1], Cells: make(map[string]map[string]*JointCell),
-				}
+				c.st.Joints[jointKey(pair[0], pair[1])] = &JointStats{A: pair[0], B: pair[1]}
 			}
 		}
 	} else if win.Schema().String() != c.schema.String() {
@@ -503,36 +443,28 @@ func (c *Collector) Add(win *relation.Relation) error {
 			}
 		}
 	}
+	aggAt := make([]int, len(c.numeric))
 	for _, pair := range c.opts.Joints {
 		j := c.st.Joints[jointKey(pair[0], pair[1])]
+		for k, na := range c.numeric {
+			aggAt[k] = j.ensureAgg(na)
+		}
 		colA := win.MustDiscrete(pair[0])
 		colB := win.MustDiscrete(pair[1])
 		for i := range colA {
-			row := j.Cells[colA[i]]
-			if row == nil {
-				row = make(map[string]*JointCell)
-				j.Cells[colA[i]] = row
-			}
-			cell := row[colB[i]]
-			if cell == nil {
-				cell = &JointCell{
-					Sums:   make(map[string]float64, len(c.numeric)),
-					SumSqs: make(map[string]float64, len(c.numeric)),
-					NonNaN: make(map[string]int, len(c.numeric)),
-				}
-				row[colB[i]] = cell
-			}
-			cell.Count++
-			for k, na := range c.numeric {
+			cell := j.cell(colA[i], colB[i])
+			j.counts[cell]++
+			for k, p := range aggAt {
 				x := numCols[k][i]
 				if !math.IsNaN(x) {
-					cell.Sums[na] += x
-					cell.SumSqs[na] += x * x
-					cell.NonNaN[na]++
+					j.sums[p][cell] += x
+					j.sumSqs[p][cell] += x * x
+					j.nonNaN[p][cell]++
 				}
 			}
 		}
 	}
+	c.st.invalidate()
 	return nil
 }
 
@@ -582,6 +514,12 @@ func collectInto(c *Collector, it relation.Iterator) (*Statistics, error) {
 // CountStats is Count over sufficient statistics instead of a resident
 // relation.
 func (e *Estimator) CountStats(st *Statistics, pred Predicate) (Estimate, error) {
+	return e.countStats(st, pred, matching(pred))
+}
+
+// countStats is CountStats over the values sel picks; pred names them for
+// channel resolution.
+func (e *Estimator) countStats(st *Statistics, pred Predicate, sel pick) (Estimate, error) {
 	ch, err := e.channel(pred)
 	if err != nil {
 		return Estimate{}, err
@@ -589,15 +527,20 @@ func (e *Estimator) CountStats(st *Statistics, pred Predicate) (Estimate, error)
 	if ch.denom <= 0 {
 		return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
 	}
-	cPriv, err := st.countMatches(pred)
+	a, err := st.attr(pred.Attr)
 	if err != nil {
 		return Estimate{}, err
 	}
-	return e.countEstimate(ch, float64(cPriv), float64(st.Rows))
+	return e.countEstimate(ch, float64(a.count(sel)), float64(st.Rows))
 }
 
 // SumStats is Sum over sufficient statistics.
 func (e *Estimator) SumStats(st *Statistics, agg string, pred Predicate) (Estimate, error) {
+	return e.sumStats(st, agg, pred, matching(pred))
+}
+
+// sumStats is SumStats over the values sel picks.
+func (e *Estimator) sumStats(st *Statistics, agg string, pred Predicate, sel pick) (Estimate, error) {
 	ch, err := e.channel(pred)
 	if err != nil {
 		return Estimate{}, err
@@ -605,20 +548,17 @@ func (e *Estimator) SumStats(st *Statistics, agg string, pred Predicate) (Estima
 	if ch.denom <= 0 {
 		return Estimate{}, fmt.Errorf("estimator: p = %v leaves no signal to invert (τ_p = τ_n)", ch.p)
 	}
-	hp, hpc, err := st.sumMatches(agg, pred)
-	if err != nil {
-		return Estimate{}, err
-	}
-	if st.Rows == 0 {
-		return Estimate{}, fmt.Errorf("estimator: empty relation")
-	}
-	cPriv, err := st.countMatches(pred)
+	a, err := st.attr(pred.Attr)
 	if err != nil {
 		return Estimate{}, err
 	}
 	m, err := st.moments(agg)
 	if err != nil {
 		return Estimate{}, err
+	}
+	hp, hpc := a.split(a.sums[agg], sel)
+	if st.Rows == 0 {
+		return Estimate{}, fmt.Errorf("estimator: empty relation")
 	}
 	muP, err := m.mean()
 	if err != nil {
@@ -628,17 +568,22 @@ func (e *Estimator) SumStats(st *Statistics, agg string, pred Predicate) (Estima
 	if err != nil {
 		return Estimate{}, err
 	}
-	return e.sumEstimate(ch, hp, hpc, float64(cPriv), float64(st.Rows), muP, varP)
+	return e.sumEstimate(ch, hp, hpc, float64(a.count(sel)), float64(st.Rows), muP, varP)
 }
 
 // AvgStats is Avg over sufficient statistics: the ratio of SumStats and
 // CountStats with the same delta-method interval.
 func (e *Estimator) AvgStats(st *Statistics, agg string, pred Predicate) (Estimate, error) {
-	h, err := e.SumStats(st, agg, pred)
+	return e.avgStats(st, agg, pred, matching(pred))
+}
+
+// avgStats is AvgStats over the values sel picks.
+func (e *Estimator) avgStats(st *Statistics, agg string, pred Predicate, sel pick) (Estimate, error) {
+	h, err := e.sumStats(st, agg, pred, sel)
 	if err != nil {
 		return Estimate{}, err
 	}
-	c, err := e.CountStats(st, pred)
+	c, err := e.countStats(st, pred, sel)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -699,13 +644,13 @@ func (e *Estimator) TotalAvgStats(st *Statistics, agg string) (Estimate, error) 
 
 // GroupCountsStats is GroupCounts over sufficient statistics.
 func (e *Estimator) GroupCountsStats(st *Statistics, attr string) (map[string]Estimate, error) {
-	domain, err := st.Domain(attr)
+	a, err := st.attr(attr)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]Estimate, len(domain))
-	for _, v := range domain {
-		est, err := e.CountStats(st, Eq(attr, v))
+	out := make(map[string]Estimate, len(a.vals))
+	for k, v := range a.vals {
+		est, err := e.countStats(st, Eq(attr, v), only(k))
 		if err != nil {
 			return nil, err
 		}
@@ -716,13 +661,13 @@ func (e *Estimator) GroupCountsStats(st *Statistics, attr string) (map[string]Es
 
 // GroupSumsStats is GroupSums over sufficient statistics.
 func (e *Estimator) GroupSumsStats(st *Statistics, attr, agg string) (map[string]Estimate, error) {
-	domain, err := st.Domain(attr)
+	a, err := st.attr(attr)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]Estimate, len(domain))
-	for _, v := range domain {
-		est, err := e.SumStats(st, agg, Eq(attr, v))
+	out := make(map[string]Estimate, len(a.vals))
+	for k, v := range a.vals {
+		est, err := e.sumStats(st, agg, Eq(attr, v), only(k))
 		if err != nil {
 			return nil, err
 		}
@@ -734,13 +679,13 @@ func (e *Estimator) GroupSumsStats(st *Statistics, attr, agg string) (map[string
 // GroupAvgsStats is GroupAvgs over sufficient statistics; zero-count groups
 // are omitted, as in GroupAvgs.
 func (e *Estimator) GroupAvgsStats(st *Statistics, attr, agg string) (map[string]Estimate, error) {
-	domain, err := st.Domain(attr)
+	a, err := st.attr(attr)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]Estimate, len(domain))
-	for _, v := range domain {
-		est, err := e.AvgStats(st, agg, Eq(attr, v))
+	out := make(map[string]Estimate, len(a.vals))
+	for k, v := range a.vals {
+		est, err := e.avgStats(st, agg, Eq(attr, v), only(k))
 		if err != nil {
 			if errors.Is(err, ErrZeroEstimatedCount) {
 				continue
@@ -757,19 +702,29 @@ func (e *Estimator) GroupAvgsStats(st *Statistics, attr, agg string) (map[string
 
 // DirectCountStats is DirectCount over sufficient statistics.
 func DirectCountStats(st *Statistics, pred Predicate) (float64, error) {
-	c, err := st.countMatches(pred)
-	return float64(c), err
+	a, err := st.attr(pred.Attr)
+	if err != nil {
+		return 0, err
+	}
+	return float64(a.count(matching(pred))), nil
 }
 
 // DirectSumStats is DirectSum over sufficient statistics.
 func DirectSumStats(st *Statistics, agg string, pred Predicate) (float64, error) {
-	m, _, err := st.sumMatches(agg, pred)
-	return m, err
+	a, err := st.attr(pred.Attr)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := st.moments(agg); err != nil {
+		return 0, err
+	}
+	m, _ := a.split(a.sums[agg], matching(pred))
+	return m, nil
 }
 
 // DirectAvgStats is DirectAvg over sufficient statistics.
 func DirectAvgStats(st *Statistics, agg string, pred Predicate) (float64, error) {
-	c, err := st.countMatches(pred)
+	c, err := DirectCountStats(st, pred)
 	if err != nil {
 		return 0, err
 	}
@@ -780,19 +735,19 @@ func DirectAvgStats(st *Statistics, agg string, pred Predicate) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	return s / float64(c), nil
+	return s / c, nil
 }
 
 // DirectGroupCountsStats returns the nominal per-group counts from
 // statistics.
 func DirectGroupCountsStats(st *Statistics, attr string) (map[string]float64, error) {
-	vs, ok := st.Discrete[attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
+	a, err := st.attr(attr)
+	if err != nil {
+		return nil, err
 	}
-	out := make(map[string]float64, len(vs))
-	for v, s := range vs {
-		out[v] = float64(s.Count)
+	out := make(map[string]float64, len(a.vals))
+	for k, v := range a.vals {
+		out[v] = float64(a.stats[k].Count)
 	}
 	return out, nil
 }
@@ -800,16 +755,16 @@ func DirectGroupCountsStats(st *Statistics, attr string) (map[string]float64, er
 // DirectGroupSumsStats returns the nominal per-group sums of agg from
 // statistics.
 func DirectGroupSumsStats(st *Statistics, attr, agg string) (map[string]float64, error) {
-	vs, ok := st.Discrete[attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
+	a, err := st.attr(attr)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := st.moments(agg); err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, len(vs))
-	for v, s := range vs {
-		out[v] = s.Sums[agg]
+	out := make(map[string]float64, len(a.vals))
+	for k, v := range a.vals {
+		out[v] = a.sums[agg][k]
 	}
 	return out, nil
 }
@@ -819,17 +774,17 @@ func DirectGroupSumsStats(st *Statistics, attr, agg string) (map[string]float64,
 // DirectAvgStats (the store keeps no per-value non-NaN cell counts). Empty
 // groups are omitted.
 func DirectGroupAvgsStats(st *Statistics, attr, agg string) (map[string]float64, error) {
-	vs, ok := st.Discrete[attr]
-	if !ok {
-		return nil, fmt.Errorf("estimator: no statistics for discrete attribute %q", attr)
+	a, err := st.attr(attr)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := st.moments(agg); err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, len(vs))
-	for v, s := range vs {
-		if s.Count > 0 {
-			out[v] = s.Sums[agg] / float64(s.Count)
+	out := make(map[string]float64, len(a.vals))
+	for k, v := range a.vals {
+		if n := a.stats[k].Count; n > 0 {
+			out[v] = a.sums[agg][k] / float64(n)
 		}
 	}
 	return out, nil

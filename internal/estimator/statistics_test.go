@@ -2,11 +2,13 @@ package estimator
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"privateclean/internal/cleaning"
+	"privateclean/internal/faults"
 	"privateclean/internal/provenance"
 	"privateclean/internal/relation"
 )
@@ -278,5 +280,24 @@ func TestStatsEmpty(t *testing.T) {
 	}
 	if _, err := est.TotalSumStats(st, "value"); err == nil {
 		t.Fatal("want error for empty statistics sum")
+	}
+}
+
+// A checkpoint whose value, histogram or joint statistics are null is
+// refused with a typed error; resuming from it used to dereference nil.
+func TestNewCollectorFromRejectsNullEntries(t *testing.T) {
+	const cols = `"columns":[{"Name":"d","Kind":1},{"Name":"e","Kind":1},{"Name":"x","Kind":0}]`
+	for _, doc := range []string{
+		`{"rows":1,` + cols + `,"discrete":{"d":{"a":null},"e":{}},"numeric":{}}`,
+		`{"rows":1,` + cols + `,"discrete":{"d":{},"e":{}},"numeric":{},"hist":{"x":null}}`,
+		`{"rows":1,` + cols + `,"discrete":{"d":{},"e":{}},"numeric":{},"joints":{"d&e":null}}`,
+	} {
+		st := &Statistics{}
+		if err := json.Unmarshal([]byte(doc), st); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewCollectorFrom(st); !errors.Is(err, faults.ErrBadMeta) {
+			t.Fatalf("%s: NewCollectorFrom = %v, want ErrBadMeta", doc, err)
+		}
 	}
 }

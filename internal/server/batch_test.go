@@ -115,7 +115,7 @@ func TestBatchMixedValidity(t *testing.T) {
 		"SELECT bogus(1) FROM R",                      // parse error
 		"",                                            // empty
 		"SELECT sum(nope) FROM R WHERE category = 'a'", // unknown aggregate column
-		"SELECT count(1) FROM R",                      // valid (total)
+		"SELECT count(1) FROM R",                       // valid (total)
 	}
 	resp, br, _ := postBatch(t, srv.URL, queries)
 	if resp.StatusCode != http.StatusOK {
